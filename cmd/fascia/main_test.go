@@ -71,13 +71,27 @@ func TestLoadGraphModes(t *testing.T) {
 	}
 }
 
+// silenceStdout points os.Stdout at the null device until the test
+// ends. The opened file is assigned directly: wrapping its descriptor
+// in a second *os.File would let that wrapper's finalizer close the
+// descriptor after a later test has reused the number.
+func silenceStdout(t *testing.T) {
+	t.Helper()
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = null
+	t.Cleanup(func() {
+		os.Stdout = old
+		null.Close()
+	})
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	// Full CLI flow on a tiny instance, output to stdout.
-	old := os.Stdout
-	null, _ := os.Open(os.DevNull)
-	defer null.Close()
-	os.Stdout = os.NewFile(null.Fd(), "null")
-	defer func() { os.Stdout = old }()
+	silenceStdout(t)
 
 	args := []string{
 		"-network", "circuit", "-scale", "0.5", "-template", "U3-1",
@@ -110,11 +124,7 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunConvergeAndInduced(t *testing.T) {
-	old := os.Stdout
-	null, _ := os.Open(os.DevNull)
-	defer null.Close()
-	os.Stdout = os.NewFile(null.Fd(), "null")
-	defer func() { os.Stdout = old }()
+	silenceStdout(t)
 
 	if err := run([]string{
 		"-network", "circuit", "-scale", "0.4", "-template", "U3-1",
@@ -125,11 +135,7 @@ func TestRunConvergeAndInduced(t *testing.T) {
 }
 
 func TestRunMotifsMode(t *testing.T) {
-	old := os.Stdout
-	null, _ := os.Open(os.DevNull)
-	defer null.Close()
-	os.Stdout = os.NewFile(null.Fd(), "null")
-	defer func() { os.Stdout = old }()
+	silenceStdout(t)
 
 	if err := run([]string{
 		"-network", "circuit", "-scale", "0.4", "-motifs", "4", "-iterations", "20", "-seed", "3",

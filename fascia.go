@@ -127,8 +127,8 @@ func (e *Engine) Run(n int) (Result, error) {
 // iteration boundaries and at vertex granularity inside every DP pass,
 // so all parallel modes abort promptly. On cancellation (or
 // Options.Timeout expiry) it returns the partial result — the mean over
-// completed iterations, with Result.Stats.Cancelled set — alongside the
-// context's error.
+// the longest contiguous prefix of completed iterations, with
+// Result.Stats.Cancelled set — alongside the context's error.
 func (e *Engine) RunContext(ctx context.Context, n int) (Result, error) {
 	ctx, cancel := e.runCtx(ctx)
 	defer cancel()

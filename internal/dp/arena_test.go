@@ -105,9 +105,10 @@ func TestIterationAllocsAfterWarmup(t *testing.T) {
 	if m1 != m0 {
 		t.Fatalf("warm iterations performed %d slab allocations (arena misses)", m1-m0)
 	}
-	// Fixed bookkeeping only: 13 table headers, iterState, two maps, the
-	// rng, the colors recycle path. The 2000-vertex, C(7,h)-wide data
-	// slabs (tens of KB each) must all come from the arena.
+	// Fixed bookkeeping only: table and lane headers, the batch state,
+	// its maps, the rng, the colors recycle path. The 2000-vertex,
+	// C(7,h)-wide data slabs (tens of KB each) must all come from the
+	// arena.
 	budget := 90.0
 	if raceEnabled {
 		budget = 120.0

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/table"
 	"repro/internal/tmpl"
 )
 
@@ -123,15 +122,9 @@ func newBagEngine(g *graph.Graph, t *tmpl.Template, cfg Config, k int) (*Engine,
 		prob:  colorfulProbability(k, t.K()),
 		aut:   t.Automorphisms(),
 		batch: 1, // lane batching is a split-table fast path; the bag DP stays per-iteration
-		arena: &table.Arena{},
 	}
 	e.rAut = e.aut // unused by the bag DP (no rooted counts); keep non-zero
-	e.llcBytes = resolveLLCBytes(cfg.LLCBytes)
 	e.memBytes = resolveMemBytes(cfg.MemBudgetBytes)
-	// The partition-tree scratch pools are never used by the bag DP but
-	// stay constructible (maxNC is 0, so pooled buffers are empty).
-	e.scratchPool.New = func() any { return &scratch{} }
-	e.batchScratchPool.New = func() any { return &batchScratch{} }
 
 	// Precompute the per-node plan: child indices in post-order plus the
 	// introduce-time edge checks.
@@ -176,7 +169,7 @@ func (e *Engine) Decomposition() *tmpl.Decomposition { return e.bag }
 
 // bagColors returns the bitmask of colors used by the bag's assigned
 // graph vertices.
-func (st *iterState) bagColors(key bagKey, width int) uint64 {
+func (st *batchState) bagColors(key bagKey, width int) uint64 {
 	var m uint64
 	for p := 0; p < width; p++ {
 		m |= 1 << uint(st.colors[key.tuple[p]])
@@ -185,10 +178,12 @@ func (st *iterState) bagColors(key bagKey, width int) uint64 {
 }
 
 // runBag executes one color-coding iteration over the decomposition in
-// post-order and returns the colorful mapping total. Cancellation is
+// post-order and returns the colorful mapping total. It runs on a
+// one-lane state, whose lane-strided coloring is the flat one, and
+// shares its stop flag and table accounting. Cancellation is
 // polled per table entry — the same granularity as the partition-tree
 // pass's per-vertex polls.
-func (st *iterState) runBag() float64 {
+func (st *batchState) runBag() float64 {
 	e := st.e
 	tabs := make([]*bagTable, len(e.bagOps))
 	free := func(i int) {
@@ -234,8 +229,8 @@ func (st *iterState) runBag() float64 {
 	}
 	st.liveBytes -= root.bytes()
 	if st.keep {
-		// Bag engines never retain tables (KeepTables is rejected at
-		// construction); VertexCounts' keep flag cannot reach here either.
+		// Bag engines never retain tables: KeepTables is rejected at
+		// construction, and VertexCounts refuses non-tree templates.
 		panic("dp: bag DP cannot keep tables")
 	}
 	st.recycleColors()
@@ -247,7 +242,7 @@ func (st *iterState) runBag() float64 {
 // to the image of each adjacent bag vertex, and a color outside the
 // subtree's used set (which also enforces injectivity — distinct colors
 // force distinct vertices).
-func (st *iterState) bagIntroduce(op *bagOp, child *bagTable) *bagTable {
+func (st *batchState) bagIntroduce(op *bagOp, child *bagTable) *bagTable {
 	e := st.e
 	out := newBagTable()
 	labeled := e.t.Labeled()
@@ -302,7 +297,7 @@ func (st *iterState) bagIntroduce(op *bagOp, child *bagTable) *bagTable {
 
 // bagForget sums out the forgotten vertex: entries that agree on the
 // remaining assignment and the (unchanged) subtree color set merge.
-func (st *iterState) bagForget(op *bagOp, child *bagTable) *bagTable {
+func (st *batchState) bagForget(op *bagOp, child *bagTable) *bagTable {
 	out := newBagTable()
 	for ci, ck := range child.keys {
 		if st.cancelled() {
@@ -319,7 +314,7 @@ func (st *iterState) bagForget(op *bagOp, child *bagTable) *bagTable {
 // portions stay rainbow-disjoint. Vertex-subtree connectivity guarantees
 // a template vertex never hides in both sides' forgotten sets, so the
 // color test is sufficient.
-func (st *iterState) bagJoin(op *bagOp, left, right *bagTable) *bagTable {
+func (st *batchState) bagJoin(op *bagOp, left, right *bagTable) *bagTable {
 	out := newBagTable()
 	width := len(op.verts)
 	// Group the right entries by assignment; left entries then probe by

@@ -16,11 +16,16 @@ import (
 // lane-strided vectors, table cells widen to [L]float64 lane blocks
 // (table.Multi), and every computeNode pass walks the adjacency and
 // enumerates the (Ca, Cp) splits once per batch instead of once per
-// iteration. Lane j colors with seed base+j — exactly the seed stream
-// the unbatched schedule uses — and counts are integer-valued float64s,
-// so per-lane totals are bit-identical to L unbatched iterations.
+// iteration. Lane j colors with seed base+j, and counts are
+// integer-valued float64s, so per-lane totals are bit-identical to L
+// one-lane traversals. It is the only DP state: a single iteration is a
+// one-lane batch, whose lane-strided colors and tables are exactly the
+// flat ones, and the bag DP (bag.go) runs on the same one-lane state.
 type batchState struct {
-	e     *Engine
+	e *Engine
+	// arena is the worker slot's slab recycler all of this state's
+	// tables and colors come from and return to.
+	arena *table.Arena
 	lanes int
 	// colors is the lane-strided coloring: lane j of vertex v is
 	// colors[v*lanes+j].
@@ -28,57 +33,57 @@ type batchState struct {
 	tabs   map[*part.Node]*table.Multi
 	// leaves holds the implicit lane tables of non-root leaves: their
 	// cells derive from the coloring (leafLanes), so nothing is
-	// allocated or initialized for them in batched mode.
+	// allocated or initialized for them.
 	leaves    map[*part.Node]*leafLanes
 	remaining map[*part.Node]int
 	liveBytes int64
 	peakBytes int64
 	workers   int
-	// Tiling accounting for RunStats.
-	tiledPasses int64
-	tileSweeps  int64
+	// keep retains every node's table, leaves materialized, plus the
+	// coloring, and installs them as the engine's kept tables for
+	// embedding sampling (KeepTables; always a one-lane state).
+	keep bool
+	// keepRoot retains only the root table in tabs for the caller to
+	// read and release (per-vertex rooted counts).
+	keepRoot bool
 
-	stop    *atomic.Bool
+	// stop, when non-nil, is the cancellation flag armed by the run's
+	// context watcher. DP loops poll it at vertex granularity.
+	stop *atomic.Bool
+	// aborted records that the traversal was cut short; its totals are
+	// meaningless and its tables have been released.
 	aborted bool
 	// totals holds the per-lane colorful mapping totals after run.
-	totals    []float64
+	totals []float64
+	// nodeTimes, when non-nil, accumulates per-node wall time in tree
+	// evaluation order (nil skips the clock calls).
 	nodeTimes []time.Duration
 
 	rowsAllocated, rowsReleased     int64
 	tablesAllocated, tablesReleased int64
 }
 
-// batchScratch is the lane-widened per-worker scratch: every row buffer
-// of the scalar scratch times the engine's batch width.
-type batchScratch struct {
+// scratch is the per-worker reusable buffer space, pooled on the Engine
+// so it is reused across nodes, workers, and iterations. Every row
+// buffer is sized to the engine's widest table times its lane count.
+type scratch struct {
 	buf      []float64 // output rows, nc*B
 	actRow   []float64 // materialized active lane row (hash fallback)
 	pasRow   []float64 // materialized passive lane row (hash fallback)
 	agg      []float64 // aggregated neighbor lane rows, ncP*B
 	colorAgg []float64 // per-(color, lane) neighbor sums, k*B
 	avB      []float64 // per-lane active root-cell values, B
-	tileBuf  []float64 // block output rows of the tiled pass, lazily grown
-	// kernel-choice tallies (in lane units, so counts stay comparable
-	// with unbatched runs), flushed on putBatchScratch.
+	// kernel-choice tallies (in lane units, so counts do not depend on
+	// the batch width), flushed on putScratch.
 	directN int64
 	aggN    int64
 }
 
-// tileRows returns the block output-row buffer of the tiled pass,
-// growing it on first use (the pool's steady state carries it across
-// nodes and iterations).
-func (sc *batchScratch) tileRows(n int) []float64 {
-	if cap(sc.tileBuf) < n {
-		sc.tileBuf = make([]float64, n)
-	}
-	return sc.tileBuf[:n]
+func (e *Engine) getScratch() *scratch {
+	return e.scratchPool.Get().(*scratch)
 }
 
-func (e *Engine) getBatchScratch() *batchScratch {
-	return e.batchScratchPool.Get().(*batchScratch)
-}
-
-func (e *Engine) putBatchScratch(sc *batchScratch) {
+func (e *Engine) putScratch(sc *scratch) {
 	if sc.directN != 0 {
 		e.kernelDirect.Add(sc.directN)
 		sc.directN = 0
@@ -87,22 +92,26 @@ func (e *Engine) putBatchScratch(sc *batchScratch) {
 		e.kernelAggregate.Add(sc.aggN)
 		sc.aggN = 0
 	}
-	e.batchScratchPool.Put(sc)
+	e.scratchPool.Put(sc)
 }
 
-// newBatchState prepares a batch of lanes colorings: lane j is colored
-// by rand.NewSource(baseSeed+j) drawing exactly the per-vertex stream an
-// unbatched iteration with that seed would draw.
-func (e *Engine) newBatchState(baseSeed int64, lanes, workers int) *batchState {
+// newBatchState prepares a batch of lanes colorings on worker slot
+// slot's arena: lane j is colored by rand.NewSource(baseSeed+j) drawing
+// the per-vertex stream in original vertex-id order, so iteration i of
+// any schedule sees the same coloring.
+func (e *Engine) newBatchState(slot int, baseSeed int64, lanes, workers int) *batchState {
 	n := e.g.N()
+	arena := e.arena(slot)
 	st := &batchState{
 		e:         e,
+		arena:     arena,
 		lanes:     lanes,
-		colors:    e.arena.I8(n * lanes),
+		colors:    arena.I8(n * lanes),
 		tabs:      map[*part.Node]*table.Multi{},
 		leaves:    map[*part.Node]*leafLanes{},
 		remaining: map[*part.Node]int{},
 		workers:   workers,
+		keep:      e.cfg.KeepTables,
 		totals:    make([]float64, lanes),
 	}
 	for j := 0; j < lanes; j++ {
@@ -123,8 +132,10 @@ func (e *Engine) newBatchState(baseSeed int64, lanes, workers int) *batchState {
 			}
 		}
 	}
-	for _, nd := range e.tree.Nodes {
-		st.remaining[nd] = nd.Consumers
+	if e.tree != nil {
+		for _, nd := range e.tree.Nodes {
+			st.remaining[nd] = nd.Consumers
+		}
 	}
 	return st
 }
@@ -139,6 +150,10 @@ func (st *batchState) cancelled() bool {
 // must discard the whole batch.
 func (st *batchState) run() {
 	e := st.e
+	if e.bag != nil {
+		st.totals[0] = st.runBag()
+		return
+	}
 	for ni, n := range e.tree.Order {
 		if st.cancelled() {
 			st.abort()
@@ -148,10 +163,10 @@ func (st *batchState) run() {
 		if st.nodeTimes != nil {
 			nodeStart = time.Now()
 		}
-		if n.IsLeaf() && n != e.tree.Root {
+		if n.IsLeaf() && n != e.tree.Root && !st.keep {
 			// Implicit leaf: cells derive from the coloring via
-			// leafLanes — no B×-widened leaf table to allocate, fill, or
-			// stream through the child kernels.
+			// leafLanes — no leaf table to allocate, fill, or stream
+			// through the child kernels.
 			st.leaves[n] = st.newLeafLanes(n)
 			if st.nodeTimes != nil {
 				st.nodeTimes[ni] += time.Since(nodeStart)
@@ -159,12 +174,12 @@ func (st *batchState) run() {
 			continue
 		}
 		nc := int(comb.Binomial(e.k, n.Size()))
-		tab := table.NewMulti(e.cfg.TableKind, e.g.N(), nc, st.lanes, e.arena)
+		tab := table.NewMulti(e.cfg.TableKind, e.g.N(), nc, st.lanes, st.arena)
 		st.tabs[n] = tab
 		if n.IsLeaf() {
-			st.initLeafB(n, tab)
+			st.initLeaf(n, tab)
 		} else {
-			st.computeNodeB(n, tab)
+			st.computeNode(n, tab)
 		}
 		if st.nodeTimes != nil {
 			st.nodeTimes[ni] += time.Since(nodeStart)
@@ -172,6 +187,7 @@ func (st *batchState) run() {
 		st.tablesAllocated++
 		st.rowsAllocated += tab.Rows()
 		if st.cancelled() {
+			// The pass aborted mid-node; the table is partial garbage.
 			st.abort()
 			return
 		}
@@ -180,23 +196,36 @@ func (st *batchState) run() {
 			st.peakBytes = st.liveBytes
 		}
 		if !n.IsLeaf() {
-			st.releaseChildrenB(n)
+			st.releaseChildren(n)
 		}
 	}
 	root := st.tabs[e.tree.Root]
 	root.Totals(st.totals)
-	st.rowsReleased += root.Rows()
-	st.tablesReleased++
-	root.Release()
-	e.arena.PutI8(st.colors)
+	switch {
+	case st.keep:
+		e.installKept(st)
+		return
+	case st.keepRoot:
+	default:
+		st.rowsReleased += root.Rows()
+		st.tablesReleased++
+		root.Release()
+		delete(st.tabs, e.tree.Root)
+	}
+	st.recycleColors()
+}
+
+// recycleColors hands the coloring back to the engine arena; the
+// implicit leaves alias it, so they go with it.
+func (st *batchState) recycleColors() {
+	st.arena.PutI8(st.colors)
 	st.colors = nil
-	// leafLanes alias st.colors; drop them with it.
 	st.leaves = nil
 }
 
-func (st *batchState) abort() {
-	st.aborted = true
-	//lint:maporder ok — release-only loop on an aborted batch: the stats it folds are commutative integer sums
+// release drops every table still held (after a keepRoot read).
+func (st *batchState) release() {
+	//lint:maporder ok — release-only loop: the stats it folds are commutative integer sums
 	for n, tab := range st.tabs {
 		st.rowsReleased += tab.Rows()
 		st.tablesReleased++
@@ -204,12 +233,20 @@ func (st *batchState) abort() {
 		delete(st.tabs, n)
 	}
 	st.liveBytes = 0
-	st.e.arena.PutI8(st.colors)
-	st.colors = nil
-	st.leaves = nil
 }
 
-func (st *batchState) releaseChildrenB(n *part.Node) {
+// abort releases every live table after a cancellation and marks the
+// batch as discarded.
+func (st *batchState) abort() {
+	st.aborted = true
+	st.release()
+	st.recycleColors()
+}
+
+func (st *batchState) releaseChildren(n *part.Node) {
+	if st.keep {
+		return
+	}
 	for _, ch := range []*part.Node{n.Active, n.Passive} {
 		st.remaining[ch]--
 		if st.remaining[ch] == 0 {
@@ -227,10 +264,32 @@ func (st *batchState) releaseChildrenB(n *part.Node) {
 	}
 }
 
-// initLeafB fills a leaf's lane table: vertex v holds count 1 for the
-// singleton color set {color_j(v)} in lane j (label pruning is
-// lane-independent).
-func (st *batchState) initLeafB(n *part.Node, tab *table.Multi) {
+// installKept makes a finished one-lane KeepTables traversal the
+// engine's kept state for SampleEmbeddings, releasing the tables of any
+// earlier run. Concurrent traversals (outer parallelism) serialize
+// here; the last to finish wins.
+func (e *Engine) installKept(st *batchState) {
+	kept := make(map[*part.Node]table.Table, len(st.tabs))
+	//lint:maporder ok — map-to-map copy: insertion order cannot affect any estimate
+	for n, tab := range st.tabs {
+		kept[n] = tab.Table()
+	}
+	e.keptMu.Lock()
+	defer e.keptMu.Unlock()
+	e.releaseKeptLocked()
+	e.kept = kept
+	e.keptColors = st.colors
+	e.keptArena = st.arena
+	st.tabs = nil
+	st.colors = nil
+	st.leaves = nil
+}
+
+// initLeaf fills a leaf's lane table: vertex v holds count 1 for the
+// singleton color set {color_j(v)} in lane j, but only when v's graph
+// label matches the leaf's template label (Algorithm 2, line 4, plus
+// the labeled pruning of §V-A).
+func (st *batchState) initLeaf(n *part.Node, tab *table.Multi) {
 	e := st.e
 	L := st.lanes
 	labeled := e.t.Labeled()
@@ -244,6 +303,7 @@ func (st *batchState) initLeafB(n *part.Node, tab *table.Multi) {
 		}
 		base := int(v) * L
 		for j := 0; j < L; j++ {
+			// The combinatorial index of the singleton {c} is c itself.
 			tab.Set(v, int32(st.colors[base+j]), j, 1)
 		}
 	}
@@ -273,32 +333,28 @@ func (st *batchState) batchContext(n *part.Node, tab *table.Multi) *batchCtx {
 	}
 }
 
-// computeNodeB fills an internal node's lane table from its children's,
-// sharding vertices across workers exactly like the scalar computeNode
-// (hash layouts go through per-worker lock-free staging + merge).
-func (st *batchState) computeNodeB(n *part.Node, tab *table.Multi) {
+// computeNode fills an internal node's lane table from its children's
+// (Algorithm 2, lines 7-15), sharding vertices across workers.
+//
+// Workers never read the table being written (vertex passes read only
+// the children's completed tables), so for layouts that are unsafe for
+// concurrent writers (Hash) each worker fills a private staging table
+// lock-free and the stagings are merged after the barrier — no global
+// store mutex serializing the workers.
+func (st *batchState) computeNode(n *part.Node, tab *table.Multi) {
 	e := st.e
 	ctx := st.batchContext(n, tab)
 	nVerts := int32(e.g.N())
-	tc := newTileCtx(&ctx.kernelShape, e.tilePlanFor(&ctx.kernelShape, st.lanes))
-	if tc != nil {
-		st.tiledPasses++
-		st.tileSweeps += int64(len(tc.ts))
-	}
 
 	if st.workers <= 1 {
-		sc := e.getBatchScratch()
-		if tc != nil {
-			st.passRangeTiledB(ctx, tab, tc, 0, nVerts, sc)
-		} else {
-			for v := int32(0); v < nVerts; v++ {
-				if st.cancelled() {
-					break
-				}
-				st.vertexPassB(ctx, tab, v, sc)
+		sc := e.getScratch()
+		for v := int32(0); v < nVerts; v++ {
+			if st.cancelled() {
+				break
 			}
+			st.vertexPass(ctx, tab, v, sc)
 		}
-		e.putBatchScratch(sc)
+		e.putScratch(sc)
 		return
 	}
 
@@ -308,9 +364,6 @@ func (st *batchState) computeNodeB(n *part.Node, tab *table.Multi) {
 		stagings = make([]*table.Multi, st.workers)
 	}
 	chunk := chunkFor(int(nVerts), st.workers)
-	if tc != nil {
-		chunk = chunkForTiled(int(nVerts), st.workers, tc.plan.blockVerts)
-	}
 	var next atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < st.workers; w++ {
@@ -319,12 +372,12 @@ func (st *batchState) computeNodeB(n *part.Node, tab *table.Multi) {
 			defer wg.Done()
 			target := tab
 			if stage {
-				s := table.NewMulti(table.Hash, int(nVerts), ctx.nc, st.lanes, e.arena)
+				s := table.NewMulti(table.Hash, int(nVerts), ctx.nc, st.lanes, st.arena)
 				stagings[w] = s
 				target = s
 			}
-			sc := e.getBatchScratch()
-			defer e.putBatchScratch(sc)
+			sc := e.getScratch()
+			defer e.putScratch(sc)
 			for {
 				if st.cancelled() {
 					return
@@ -337,15 +390,11 @@ func (st *batchState) computeNodeB(n *part.Node, tab *table.Multi) {
 				if end > nVerts {
 					end = nVerts
 				}
-				if tc != nil {
-					st.passRangeTiledB(ctx, target, tc, start, end, sc)
-					continue
-				}
 				for v := start; v < end; v++ {
 					if st.cancelled() {
 						return
 					}
-					st.vertexPassB(ctx, target, v, sc)
+					st.vertexPass(ctx, target, v, sc)
 				}
 			}
 		}(w)
@@ -361,50 +410,34 @@ func (st *batchState) computeNodeB(n *part.Node, tab *table.Multi) {
 	}
 }
 
-// vertexPassB computes the lane-strided color-set rows of one vertex for
-// all lanes at once and stores them into tab. The kernel decision is a
-// function of degree and node shape only, so all lanes of a vertex run
-// the same kernel; the tallies count lane units to stay comparable with
-// unbatched runs.
-func (st *batchState) vertexPassB(ctx *batchCtx, tab *table.Multi, v int32, sc *batchScratch) {
-	if !ctx.act.Has(v) {
-		return
-	}
-	adj := st.e.g.Adj(v)
-	if len(adj) == 0 {
-		return
-	}
-	L := st.lanes
-	aggregate := ctx.useAggregate(len(adj))
-	if aggregate {
-		sc.aggN += int64(L)
-	} else {
-		sc.directN += int64(L)
-	}
-	buf := sc.buf[:ctx.nc*L]
-	clear(buf)
+// chunkOverride, when positive, pins the work-stealing chunk size — a
+// benchmark knob for comparing against the historical constant (512).
+// Set it only while no DP pass is running.
+var chunkOverride int
 
-	switch ctx.branch {
-	case branchSize2:
-		st.passSize2B(ctx, v, adj, buf, sc, aggregate)
-	case branchActiveSingle:
-		st.passActiveSingleB(ctx, v, adj, buf, sc, aggregate)
-	case branchPassiveSingle:
-		st.passPassiveSingleB(ctx, v, adj, buf, sc, aggregate)
-	default:
-		if aggregate {
-			st.passGeneralAggregateB(ctx, v, adj, buf, sc)
-		} else {
-			st.passGeneralDirectB(ctx, v, adj, buf, sc)
-		}
+// chunkFor sizes the work-stealing chunks of the inner-parallel vertex
+// loop. The historical constant 512 under-splits small graphs (a worker
+// can end up with one giant chunk while others idle) and over-splits
+// huge ones (atomic contention on the shared cursor). Targeting ~8
+// chunks per worker balances stealing granularity against cursor
+// traffic, with a floor that keeps per-chunk overhead negligible and a
+// ceiling that preserves stealing on degree-skewed graphs, where one
+// chunk of hubs can cost many times a chunk of leaves.
+func chunkFor(nVerts, workers int) int {
+	if chunkOverride > 0 {
+		return chunkOverride
 	}
-	// Counts are nonnegative, so "some lane contributed" is exactly
-	// "some cell is nonzero" — the same presence rule the scalar pass
-	// applies per lane, unioned over lanes.
-	for _, x := range buf {
-		if x != 0 {
-			tab.StoreRow(v, buf)
-			return
-		}
+	const (
+		chunksPerWorker = 8
+		minChunk        = 64
+		maxChunk        = 4096
+	)
+	c := nVerts / (workers * chunksPerWorker)
+	if c < minChunk {
+		return minChunk
 	}
+	if c > maxChunk {
+		return maxChunk
+	}
+	return c
 }

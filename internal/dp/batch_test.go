@@ -2,6 +2,7 @@ package dp
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -371,6 +372,75 @@ func TestBatchCancellation(t *testing.T) {
 	if res.Stats.RowsAllocated != res.Stats.RowsReleased {
 		t.Fatalf("cancelled batched run leaked rows: %d allocated, %d released",
 			res.Stats.RowsAllocated, res.Stats.RowsReleased)
+	}
+}
+
+// TestCancelledRunKeepsSeedPrefix forces an out-of-order completion
+// under Outer parallelism — iteration 2 finishes while iteration 1 has
+// not started — and then cancels: the result must be the contiguous
+// seed prefix {0}, with iteration 2 dropped and counted, and the
+// progress hook must report only the iterations the result holds.
+func TestCancelledRunKeepsSeedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := randomGraph(rng, 200, 800)
+	cfg := DefaultConfig()
+	cfg.Mode = Outer
+	cfg.Workers = 3
+	cfg.Seed = 11
+	ref, err := New(g, tmpl.Path(5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	zeroDone, twoDone := make(chan struct{}), make(chan struct{})
+	batchHook = func(b int, done bool) {
+		switch {
+		case b == 0 && done:
+			close(zeroDone)
+		case b == 2 && !done:
+			<-zeroDone
+		case b == 2 && done:
+			cancel()
+			close(twoDone)
+		case b == 1 && !done:
+			<-twoDone
+		}
+	}
+	defer func() { batchHook = nil }()
+	var reported []int
+	cfg.OnIteration = func(i int, _ float64, _ time.Duration) {
+		reported = append(reported, i)
+	}
+	e, err := New(g, tmpl.Path(5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RunContext(ctx, 3)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(res.PerIteration) != 1 || res.PerIteration[0] != want.PerIteration[0] {
+		t.Fatalf("PerIteration = %v, want the seed prefix %v", res.PerIteration, want.PerIteration)
+	}
+	if res.Estimate != want.Estimate || res.StdErr != 0 {
+		t.Fatalf("estimate %v ± %v, want %v ± 0", res.Estimate, res.StdErr, want.Estimate)
+	}
+	s := res.Stats
+	if !s.Cancelled || s.Iterations != 1 || len(s.IterTimes) != 1 || s.DroppedIterations != 1 {
+		t.Fatalf("stats: cancelled=%v iterations=%d iterTimes=%d dropped=%d, want true/1/1/1",
+			s.Cancelled, s.Iterations, len(s.IterTimes), s.DroppedIterations)
+	}
+	if len(reported) != 1 || reported[0] != 0 {
+		t.Fatalf("OnIteration reported %v, want [0]", reported)
+	}
+	if s.RowsAllocated != s.RowsReleased {
+		t.Fatalf("cancelled run leaked rows: %d allocated, %d released", s.RowsAllocated, s.RowsReleased)
 	}
 }
 

@@ -2,24 +2,71 @@ package dp
 
 import (
 	"repro/internal/comb"
+	"repro/internal/table"
 )
 
-// Batched kernels: the lane-widened counterparts of the scalar passes in
-// kernel.go. Every kernel walks the adjacency and the combinatorial index
-// tables exactly once per batch and runs a flat float64 multiply-add over
-// the L-lane blocks in its innermost loop. Per-lane accumulation order
-// matches the scalar kernels neighbor-for-neighbor, and counts are
-// integer-valued float64s, so every lane's result is bit-identical to the
-// corresponding unbatched iteration. Zero-skip guards are kept only where
-// they gate whole loops (a zero active cell contributes zero products
-// either way), so dropping per-cell branches inside lane loops cannot
-// change any value — 0·x == 0 for the finite nonnegative counts stored
-// here.
+// The tree-DP kernels, one per branch of kernel.go's shape model. They
+// are lane-generic: every kernel walks the adjacency and the
+// combinatorial index tables exactly once per batch and runs a flat
+// float64 multiply-add over the L-lane blocks in its innermost loop; a
+// single iteration is the L = 1 case. Per-lane accumulation order is
+// the same for every L, and counts are integer-valued float64s, so every
+// lane's result is bit-identical to a one-lane traversal of its seed.
+// Zero-skip guards are kept only where they gate whole loops (a zero
+// active cell contributes zero products either way), so dropping
+// per-cell branches inside lane loops cannot change any value — 0·x == 0
+// for the finite nonnegative counts stored here.
+
+// vertexPass computes the lane-strided color-set rows of one vertex for
+// all lanes at once and stores them into tab. The kernel decision is a
+// function of degree and node shape only, so all lanes of a vertex run
+// the same kernel; the tallies count lane units.
+func (st *batchState) vertexPass(ctx *batchCtx, tab *table.Multi, v int32, sc *scratch) {
+	if !ctx.act.Has(v) {
+		return
+	}
+	adj := st.e.g.Adj(v)
+	if len(adj) == 0 {
+		return
+	}
+	L := st.lanes
+	aggregate := ctx.useAggregate(len(adj))
+	if aggregate {
+		sc.aggN += int64(L)
+	} else {
+		sc.directN += int64(L)
+	}
+	buf := sc.buf[:ctx.nc*L]
+	clear(buf)
+
+	switch ctx.branch {
+	case branchSize2:
+		st.passSize2(ctx, v, adj, buf, sc, aggregate)
+	case branchActiveSingle:
+		st.passActiveSingle(ctx, v, adj, buf, sc, aggregate)
+	case branchPassiveSingle:
+		st.passPassiveSingle(ctx, v, adj, buf, sc, aggregate)
+	default:
+		if aggregate {
+			st.passGeneralAggregate(ctx, v, adj, buf, sc)
+		} else {
+			st.passGeneralDirect(ctx, v, adj, buf, sc)
+		}
+	}
+	// Counts are nonnegative, so "some lane contributed" is exactly
+	// "some cell is nonzero": a row is stored when any lane has one.
+	for _, x := range buf {
+		if x != 0 {
+			tab.StoreRow(v, buf)
+			return
+		}
+	}
+}
 
 // laneActives fills sc.avB with lane j's active root cell
-// act[v][{color_j(v)}] and reports whether any lane is nonzero (the
-// batched form of the scalar kernels' `av == 0` early return).
-func (st *batchState) laneActives(ctx *batchCtx, v int32, sc *batchScratch) ([]float64, bool) {
+// act[v][{color_j(v)}] and reports whether any lane is nonzero (a
+// vertex whose root cell is zero in every lane contributes nothing).
+func (st *batchState) laneActives(ctx *batchCtx, v int32, sc *scratch) ([]float64, bool) {
 	L := st.lanes
 	avB := sc.avB[:L]
 	base := int(v) * L
@@ -51,10 +98,10 @@ func (st *batchState) laneActives(ctx *batchCtx, v int32, sc *batchScratch) ([]f
 	return avB, any
 }
 
-// passSize2B handles h == 2 for all lanes: lane j contributes only the
+// passSize2 handles h == 2 for all lanes: lane j contributes only the
 // pair set {color_j(v), color_j(u)} with distinct colors. The aggregated
 // variant groups neighbors into per-(color, lane) sums first.
-func (st *batchState) passSize2B(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *batchScratch, aggregate bool) {
+func (st *batchState) passSize2(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) {
 	L := st.lanes
 	avB, any := st.laneActives(ctx, v, sc)
 	if !any {
@@ -134,8 +181,7 @@ func (st *batchState) passSize2B(ctx *batchCtx, v int32, adj []int32, buf []floa
 				continue
 			}
 			// Same-color neighbors fold into colorAgg[cv_j] but form no
-			// valid pair set — the batched form of the scalar kernel's
-			// colorAgg[cv] = 0.
+			// valid pair set, so they are skipped.
 			cv := int(st.colors[vbase+j])
 			if c == cv {
 				continue
@@ -147,11 +193,11 @@ func (st *batchState) passSize2B(ctx *batchCtx, v int32, adj []int32, buf []floa
 	}
 }
 
-// passActiveSingleB handles aN == 1, h > 2 for all lanes: lane j touches
+// passActiveSingle handles aN == 1, h > 2 for all lanes: lane j touches
 // only the singleton entries of color_j(v). The aggregated variant sums
 // whole lane-strided passive rows first, then walks each lane's entry
 // list once.
-func (st *batchState) passActiveSingleB(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *batchScratch, aggregate bool) {
+func (st *batchState) passActiveSingle(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) {
 	L := st.lanes
 	avB, any := st.laneActives(ctx, v, sc)
 	if !any {
@@ -201,12 +247,12 @@ func (st *batchState) passActiveSingleB(ctx *batchCtx, v int32, adj []int32, buf
 	}
 }
 
-// passPassiveSingleB handles pN == 1, h > 2 for all lanes: for neighbor u,
+// passPassiveSingle handles pN == 1, h > 2 for all lanes: for neighbor u,
 // lane j touches only the singleton entries of color_j(u). The aggregated
 // variant folds neighbors into k·L per-(color, lane) sums and walks each
 // color's entry list once, with the lane sweep innermost on contiguous
 // blocks.
-func (st *batchState) passPassiveSingleB(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *batchScratch, aggregate bool) {
+func (st *batchState) passPassiveSingle(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) {
 	L := st.lanes
 	arow := ctx.act.MaterializeRow(v, sc.actRow)
 	pas := ctx.pas
@@ -284,10 +330,10 @@ func (st *batchState) passPassiveSingleB(ctx *batchCtx, v int32, adj []int32, bu
 	}
 }
 
-// passGeneralDirectB is the lane-widened Algorithm 2 inner step: for every
+// passGeneralDirect is the lane-widened Algorithm 2 inner step: for every
 // neighbor u, every color set C, and every (Ca, Cp) split, run the
 // multiply-add across all lanes of the contiguous lane blocks.
-func (st *batchState) passGeneralDirectB(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *batchScratch) {
+func (st *batchState) passGeneralDirect(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *scratch) {
 	L := st.lanes
 	arow := ctx.act.MaterializeRow(v, sc.actRow)
 	pas := ctx.pas
@@ -310,10 +356,10 @@ func (st *batchState) passGeneralDirectB(ctx *batchCtx, v int32, adj []int32, bu
 	}
 }
 
-// passGeneralAggregateB is the lane-widened SpMM restructure: one
+// passGeneralAggregate is the lane-widened SpMM restructure: one
 // neighbor-aggregation sweep builds the lane-strided agg[Cp] rows, then a
 // single split contraction runs against the active lane row.
-func (st *batchState) passGeneralAggregateB(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *batchScratch) {
+func (st *batchState) passGeneralAggregate(ctx *batchCtx, v int32, adj []int32, buf []float64, sc *scratch) {
 	L := st.lanes
 	agg := sc.agg[:ctx.ncP*L]
 	clear(agg)

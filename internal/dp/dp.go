@@ -12,7 +12,9 @@ package dp
 import (
 	"fmt"
 	"math"
+	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,29 +97,21 @@ type Config struct {
 	// Results are identical in all modes.
 	Kernel KernelMode
 	// Batch is the number of independent colorings ("lanes") each DP
-	// traversal carries: 0 or 1 runs the classic one-coloring-per-pass
-	// schedule, B > 1 walks the adjacency and split tables ONCE per B
-	// iterations with table cells widened to [B]float64 lane blocks, and
-	// BatchAuto (any negative value) sizes B from the table widths and a
-	// per-lane memory budget. Peak table memory grows by B× a single
-	// iteration. Estimates are bit-identical to unbatched runs: lane j of
-	// batch b colors with seed Seed + b·B + j, the same per-iteration
-	// seed stream Run has always used. Batching applies to Run/RunContext;
-	// VertexCounts, RunConverged, and KeepTables sampling runs stay
-	// unbatched (they need one coloring's tables at a time).
+	// traversal carries: 0 or 1 runs one coloring per traversal, B > 1
+	// walks the adjacency and split tables ONCE per B iterations with
+	// table cells widened to [B]float64 lane blocks, and BatchAuto (any
+	// negative value) sizes B from the table widths and a per-lane
+	// memory budget. Peak table memory grows by B× a single iteration.
+	// Estimates are bit-identical at every width: lane j of batch b
+	// colors with seed Seed + b·B + j, the same per-iteration seed
+	// stream Run has always used. Batching applies to Run/RunContext;
+	// VertexCounts, RunConverged, and KeepTables sampling runs use one
+	// lane (they need one coloring's tables at a time).
 	Batch int
 	// KeepTables retains all subtemplate tables after a run, enabling
 	// embedding sampling at the cost of the memory the eager-release
 	// schedule would have saved. It forces Share off.
 	KeepTables bool
-	// LLCBytes is the cache budget of the tiled DP execution layer: when
-	// a node's passive table exceeds it, the pass sweeps the passive
-	// columns in budget-sized tiles so the gathered rows stay
-	// cache-resident. >0 sets an explicit budget, 0 defers to the
-	// FASCIA_LLC_BYTES environment variable (then a 64 MiB default), and
-	// <0 disables tiling. Tiling regroups exact integer sums only, so
-	// estimates are bit-identical in every setting.
-	LLCBytes int64
 	// MemBudgetBytes bounds peak table memory: when > 0, table slabs at
 	// least spillMinBytes large are drawn from unlinked file-backed
 	// mappings the OS can page out under pressure, and the automatic
@@ -127,10 +121,6 @@ type Config struct {
 	// disables spilling. Spilling only relocates storage; estimates are
 	// bit-identical in every setting.
 	MemBudgetBytes int64
-	// TileCols, when > 0, pins the per-lane tile width in passive color
-	// columns (a test/benchmark knob that forces tiling regardless of
-	// budget); < 0 disables tiling; 0 lets LLCBytes decide.
-	TileCols int
 	// Reorder controls the degree-bucketed vertex relabeling applied at
 	// engine construction: ReorderAuto (default) enables it on large
 	// degree-skewed graphs, ReorderOn forces it, ReorderOff disables it.
@@ -138,19 +128,21 @@ type Config struct {
 	// permutation, so estimates are bit-identical in every setting;
 	// KeepTables forces it off (sampling reads tables by graph id).
 	Reorder ReorderMode
-	// OnIteration, when non-nil, is called after every completed
-	// iteration with its seed index, its estimate, and the wall time
-	// elapsed since the run started — a progress hook. Under outer and
-	// hybrid parallelism calls are serialized but indices may arrive out
-	// of order; the callback must not block for long (it holds the
-	// run's result lock).
+	// OnIteration, when non-nil, is called once for every iteration the
+	// result holds, in seed order, with its seed index, its estimate,
+	// and the wall time elapsed since the run started — a progress hook.
+	// Under outer and hybrid parallelism an iteration that finishes early
+	// is reported once every earlier one has; after a cancellation the
+	// completions past the first unfinished iteration are dropped and
+	// never reported. Calls are serialized; the callback must not block
+	// for long (it holds the run's result lock).
 	OnIteration func(i int, estimate float64, elapsed time.Duration)
 	// ForceBagDP routes tree templates through the tree-decomposition
 	// bag DP (the engine non-tree templates always use) instead of the
 	// partition-tree DP. It exists to pin the reduction: on a tree
 	// template the bag DP's per-iteration estimates must be bit-identical
-	// to the partition-tree DP's. Incompatible with KeepTables,
-	// RootVertex, and Batch > 1, like any non-tree run.
+	// to the partition-tree DP's. Incompatible with KeepTables and
+	// RootVertex, and always one lane, like any non-tree run.
 	ForceBagDP bool
 }
 
@@ -196,39 +188,40 @@ type Engine struct {
 	aut    int64   // |Aut(T)|
 	rAut   int64   // automorphisms fixing the partition root
 	maxNC  int     // largest NumSets over all nodes
-	maxNcP int     // largest passive-child NumSets over internal nodes
-	batch  int     // resolved lane count (1 = unbatched)
+	batch  int     // resolved lane count
 
 	// ord, when non-nil, is the degree-bucketed vertex relabeling under
 	// which e.g was rebuilt; Orig maps engine ids back to the caller's.
 	ord *graph.Ordering
-	// llcBytes is the resolved tiling cache budget (0 = tiling disabled).
-	llcBytes int64
 	// memBytes is the resolved peak-memory budget (0 = unlimited).
 	memBytes int64
 
 	splits  map[[2]int]*comb.SplitTable     // (size, activeSize) -> table
 	singles map[int][][]comb.SingletonEntry // size -> per-color entries
 
-	// arena recycles table backing slabs and color vectors across
-	// iterations and batches (engine-lifetime free lists; outer-parallel
-	// iterations share it under its own lock).
-	arena *table.Arena
+	// arenas recycle table backing slabs and color vectors across
+	// iterations and batches (engine-lifetime free lists), one per
+	// concurrent worker slot; slot 0 also serves every sequential run.
+	// Slot w of an outer or hybrid run always takes the same batches,
+	// so a repeated run finds every slab its slots released last time.
+	arenasMu sync.Mutex
+	arenas   []*table.Arena
 
 	// scratchPool recycles per-worker scratch buffers across nodes,
-	// workers, and iterations (outer-parallel iterations share it too).
+	// workers, and iterations (outer-parallel batches share it too).
 	scratchPool sync.Pool
-	// batchScratchPool is the lane-widened variant used by batched runs.
-	batchScratchPool sync.Pool
 	// kernelDirect / kernelAggregate count vertex passes executed by each
 	// kernel since engine creation, for diagnostics and the fasciabench
 	// kernel ablation.
 	kernelDirect    atomic.Int64
 	kernelAggregate atomic.Int64
 
-	// kept tables from the last iteration when cfg.KeepTables is set.
+	// kept tables from the last iteration when cfg.KeepTables is set,
+	// guarded by keptMu (concurrent iterations install them on finish).
+	keptMu     sync.Mutex
 	kept       map[*part.Node]table.Table
 	keptColors []int8
+	keptArena  *table.Arena // where keptColors came from
 }
 
 // New validates the configuration and precomputes the partition tree and
@@ -270,16 +263,8 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 		rAut:    t.RootedAutomorphisms(tree.Root.Root),
 		splits:  map[[2]int]*comb.SplitTable{},
 		singles: map[int][][]comb.SingletonEntry{},
-		arena:   &table.Arena{},
 	}
-	e.llcBytes = resolveLLCBytes(cfg.LLCBytes)
 	e.memBytes = resolveMemBytes(cfg.MemBudgetBytes)
-	if e.memBytes > 0 {
-		// Out-of-core mode: large table slabs move to unlinked
-		// file-backed mappings so the resident set can stay within the
-		// budget even when the summed table footprint exceeds it.
-		e.arena.SetSpill(0)
-	}
 	if e.shouldReorder() {
 		e.ord = graph.DegreeBucketOrdering(g)
 		e.g = g.Relabel(e.ord)
@@ -292,9 +277,6 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 		if n.IsLeaf() {
 			continue
 		}
-		if ncP := int(comb.Binomial(k, n.Passive.Size())); ncP > e.maxNcP {
-			e.maxNcP = ncP
-		}
 		h, aN := n.Size(), n.Active.Size()
 		key := [2]int{h, aN}
 		if _, ok := e.splits[key]; !ok {
@@ -306,19 +288,10 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	e.scratchPool.New = func() any {
-		return &scratch{
-			buf:      make([]float64, e.maxNC),
-			actRow:   make([]float64, e.maxNC),
-			pasRow:   make([]float64, e.maxNC),
-			agg:      make([]float64, e.maxNC),
-			colorAgg: make([]float64, e.k),
-		}
-	}
 	e.batch = e.resolveBatch()
-	e.batchScratchPool.New = func() any {
+	e.scratchPool.New = func() any {
 		w := e.maxNC * e.batch
-		return &batchScratch{
+		return &scratch{
 			buf:      make([]float64, w),
 			actRow:   make([]float64, w),
 			pasRow:   make([]float64, w),
@@ -359,13 +332,6 @@ func (e *Engine) resolveBatch() int {
 		for b < 16 && int64(2*b)*perLane <= budget {
 			b *= 2
 		}
-		// Joint (B, tile) sizing: widening lanes widens the passive
-		// tables, which the tiled pass compensates by sweeping more
-		// column tiles — each sweep re-streaming the adjacency. Shrink B
-		// until the widest pass stays within the sweep cap.
-		for b > 1 && tilesNeeded(int64(float64(e.g.N())*float64(e.maxNcP)*float64(b)*cell), e.llcBytes) > maxTileSweeps {
-			b /= 2
-		}
 		return b
 	}
 	if b < 1 {
@@ -377,13 +343,71 @@ func (e *Engine) resolveBatch() int {
 	return b
 }
 
-// Batch returns the resolved lane count (1 = unbatched) — the number of
-// concurrent colorings each DP traversal carries.
+// memEnvVar names the environment fallback of Config.MemBudgetBytes.
+const memEnvVar = "FASCIA_MEM_BYTES"
+
+// resolveMemBytes lowers the Config.MemBudgetBytes knob: >0 is an
+// explicit budget, <0 disables spilling (resolved 0), and 0 defers to
+// the FASCIA_MEM_BYTES environment variable, then unlimited. A nonzero
+// result turns on the arenas' file-backed spill slabs (see arena).
+func resolveMemBytes(cfg int64) int64 {
+	if cfg > 0 {
+		return cfg
+	}
+	if cfg < 0 {
+		return 0
+	}
+	if s := os.Getenv(memEnvVar); s != "" {
+		if v, err := strconv.ParseInt(s, 10, 64); err == nil && v > 0 {
+			return v
+		}
+	}
+	return 0
+}
+
+// Batch returns the resolved lane count — the number of concurrent
+// colorings each DP traversal carries.
 func (e *Engine) Batch() int { return e.batch }
 
-// ArenaStats returns cumulative table-slab reuse counters of the
-// engine's arena: free-list hits and fresh allocations.
-func (e *Engine) ArenaStats() (hits, misses int64) { return e.arena.Stats() }
+// arena returns worker slot w's arena, creating it on first use.
+func (e *Engine) arena(w int) *table.Arena {
+	e.arenasMu.Lock()
+	defer e.arenasMu.Unlock()
+	for len(e.arenas) <= w {
+		a := &table.Arena{}
+		if e.memBytes > 0 {
+			// Out-of-core mode: large table slabs move to unlinked
+			// file-backed mappings so the resident set can stay within
+			// the budget even when the summed table footprint exceeds it.
+			a.SetSpill(0)
+		}
+		e.arenas = append(e.arenas, a)
+	}
+	return e.arenas[w]
+}
+
+// ArenaStats returns cumulative table-slab reuse counters summed over
+// the engine's arenas: free-list hits and fresh allocations.
+func (e *Engine) ArenaStats() (hits, misses int64) {
+	e.arenasMu.Lock()
+	defer e.arenasMu.Unlock()
+	for _, a := range e.arenas {
+		h, m := a.Stats()
+		hits, misses = hits+h, misses+m
+	}
+	return hits, misses
+}
+
+// spillStats sums the arenas' live spill slabs and mapped bytes.
+func (e *Engine) spillStats() (slabs int, bytes int64) {
+	e.arenasMu.Lock()
+	defer e.arenasMu.Unlock()
+	for _, a := range e.arenas {
+		s, b := a.SpillStats()
+		slabs, bytes = slabs+s, bytes+b
+	}
+	return slabs, bytes
+}
 
 // KernelStats returns cumulative counts of internal-node vertex passes
 // executed by the direct and aggregated kernels since engine creation.

@@ -33,8 +33,11 @@ func randomTree(rng *rand.Rand, k int) *tmpl.Template {
 // TestColorfulExactEquivalence is the keystone correctness test: under a
 // fixed coloring, the DP's colorful-mapping total must EXACTLY equal
 // brute-force colorful enumeration, for every combination of strategy,
-// table layout, sharing, leaf specialization, and worker count.
+// table layout, sharing, leaf specialization, and worker count. Outer
+// and Hybrid runs go through the concurrent batch scheduler at one lane,
+// where iteration i colors with seed+i.
 func TestColorfulExactEquivalence(t *testing.T) {
+	const schedIters = 3
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
 		n := 8 + rng.Intn(18)
@@ -44,6 +47,7 @@ func TestColorfulExactEquivalence(t *testing.T) {
 		seed := rng.Int63()
 
 		var want int64 = -1
+		var wantAt []int64 // exact totals for seeds seed+i, filled on first use
 		for _, strat := range []part.Strategy{part.OneAtATime, part.Balanced} {
 			for _, kind := range table.Kinds {
 				for _, share := range []bool{false, true} {
@@ -67,6 +71,27 @@ func TestColorfulExactEquivalence(t *testing.T) {
 							if got != float64(want) {
 								t.Fatalf("trial %d (%v/%v/share=%v/nospecial=%v/w=%d): DP total %v, exact %d\ntemplate %v",
 									trial, strat, kind, share, noSpecial, workers, got, want, tr)
+							}
+							for _, mode := range []Mode{Outer, Hybrid} {
+								cfg.Mode = mode
+								cfg.Seed = seed
+								e, err := New(g, tr, cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								for i := len(wantAt); i < schedIters; i++ {
+									wantAt = append(wantAt, exact.CountColorfulMappings(g, tr, e.ColoringFor(seed+int64(i))))
+								}
+								res, err := e.Run(schedIters)
+								if err != nil {
+									t.Fatal(err)
+								}
+								for i, est := range res.PerIteration {
+									if w := e.scale(float64(wantAt[i])); est != w {
+										t.Fatalf("trial %d (%v/%v/share=%v/nospecial=%v/w=%d/%v) iteration %d: DP estimate %v, exact %v\ntemplate %v",
+											trial, strat, kind, share, noSpecial, workers, mode, i, est, w, tr)
+									}
+								}
 							}
 						}
 					}

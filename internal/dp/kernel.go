@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/comb"
 	"repro/internal/part"
-	"repro/internal/table"
 )
 
 // KernelMode selects how an internal node combines its children's tables
@@ -73,10 +72,9 @@ const directCellCost = 2
 
 // kernelShape is the layout-independent per-node kernel context: the
 // specialization branch, the combinatorial index tables, the table
-// widths, and the resolved cost-model threshold. It is shared between
-// the scalar vertex pass (nodeCtx) and the batched one (batchCtx), so
-// the kernel decision — a function of degree and widths only — is
-// identical in both execution modes.
+// widths, and the resolved cost-model threshold. The kernel decision
+// is a function of degree and widths only, so it is identical at every
+// lane count.
 type kernelShape struct {
 	n       *part.Node
 	split   *comb.SplitTable
@@ -93,14 +91,6 @@ type kernelShape struct {
 	// aggMinDeg is the KernelAuto decision threshold: vertices with
 	// degree >= aggMinDeg run the aggregated kernel.
 	aggMinDeg int
-}
-
-// nodeCtx carries everything a scalar vertex pass needs for one internal
-// node, precomputed once per computeNode call instead of re-derived per
-// vertex.
-type nodeCtx struct {
-	kernelShape
-	act, pas table.Table
 }
 
 // kernelShapeFor builds the per-node kernel shape, resolving the kernel
@@ -176,16 +166,6 @@ func (e *Engine) kernelShapeFor(n *part.Node, nc int) kernelShape {
 	return ctx
 }
 
-// nodeContext binds the node's kernel shape to this iteration's child
-// tables.
-func (st *iterState) nodeContext(n *part.Node, tab table.Table) *nodeCtx {
-	return &nodeCtx{
-		kernelShape: st.e.kernelShapeFor(n, tab.NumSets()),
-		act:         st.tabs[n.Active],
-		pas:         st.tabs[n.Passive],
-	}
-}
-
 // useAggregate resolves the kernel for one vertex of degree deg.
 func (ctx *kernelShape) useAggregate(deg int) bool {
 	switch ctx.mode {
@@ -196,245 +176,4 @@ func (ctx *kernelShape) useAggregate(deg int) bool {
 	default:
 		return deg >= ctx.aggMinDeg
 	}
-}
-
-// vertexPass computes the full color-set row of one vertex v for node
-// ctx.n and stores it into tab (which is ctx's node table or a per-worker
-// staging table in Hash inner-parallel mode).
-func (st *iterState) vertexPass(ctx *nodeCtx, tab table.Table, v int32, sc *scratch) {
-	if !ctx.act.Has(v) {
-		return
-	}
-	adj := st.e.g.Adj(v)
-	if len(adj) == 0 {
-		return
-	}
-	aggregate := ctx.useAggregate(len(adj))
-	if aggregate {
-		sc.aggN++
-	} else {
-		sc.directN++
-	}
-	buf := sc.buf[:ctx.nc]
-	for i := range buf {
-		buf[i] = 0
-	}
-
-	var any bool
-	switch ctx.branch {
-	case branchSize2:
-		any = st.passSize2(ctx, v, adj, buf, sc, aggregate)
-	case branchActiveSingle:
-		any = st.passActiveSingle(ctx, v, adj, buf, sc, aggregate)
-	case branchPassiveSingle:
-		any = st.passPassiveSingle(ctx, v, adj, buf, sc, aggregate)
-	default:
-		if aggregate {
-			any = st.passGeneralAggregate(ctx, v, adj, buf, sc)
-		} else {
-			any = st.passGeneralDirect(ctx, v, adj, buf, sc)
-		}
-	}
-	if any {
-		tab.StoreRow(v, buf)
-	}
-}
-
-// passSize2 handles h == 2: both children are single vertices, so the
-// only contributing color set is {color(v), color(u)} with distinct
-// colors. The aggregated variant groups neighbors by color first.
-func (st *iterState) passSize2(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) bool {
-	act, pas := ctx.act, ctx.pas
-	av := act.Get(v, int32(st.colors[v]))
-	if av == 0 {
-		return false
-	}
-	cv := int(st.colors[v])
-	any := false
-	if !aggregate {
-		for _, u := range adj {
-			cu := int(st.colors[u])
-			if cu == cv {
-				continue
-			}
-			// Get returns 0 for absent rows on every layout, so no Has
-			// probe is needed (here and in the other single-vertex
-			// branches): zero contributions fall out of the != 0 check.
-			if pv := pas.Get(u, int32(cu)); pv != 0 {
-				buf[comb.PairIndex(cv, cu)] += av * pv
-				any = true
-			}
-		}
-		return any
-	}
-	colorAgg := sc.colorAgg
-	for i := range colorAgg {
-		colorAgg[i] = 0
-	}
-	table.GatherColorsInto(pas, adj, st.colors, colorAgg)
-	// Same-color neighbors were folded into colorAgg[cv] by the bulk
-	// gather; they contribute nothing (no valid pair set), so drop them.
-	colorAgg[cv] = 0
-	for c, s := range colorAgg {
-		if s != 0 {
-			buf[comb.PairIndex(cv, c)] += av * s
-			any = true
-		}
-	}
-	return any
-}
-
-// passActiveSingle handles aN == 1, h > 2: the active child is the root
-// alone, so only color sets containing color(v) contribute and the
-// passive part is C \ {color(v)} — the (k-1)/k work reduction of §III-D.
-// The aggregated variant sums whole passive rows first, then walks the
-// singleton entries once.
-func (st *iterState) passActiveSingle(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) bool {
-	act, pas := ctx.act, ctx.pas
-	av := act.Get(v, int32(st.colors[v]))
-	if av == 0 {
-		return false
-	}
-	entries := ctx.singles[int(st.colors[v])]
-	any := false
-	if !aggregate {
-		for _, u := range adj {
-			// Row-first: a non-nil row needs no Has probe; only the Hash
-			// layout (Row always nil) still wants the cheap presence
-			// check before cell-wise Gets.
-			if prow := pas.Row(u); prow != nil {
-				for _, en := range entries {
-					if pv := prow[en.RestIdx]; pv != 0 {
-						buf[en.SetIdx] += av * pv
-						any = true
-					}
-				}
-			} else if pas.Has(u) {
-				for _, en := range entries {
-					if pv := pas.Get(u, en.RestIdx); pv != 0 {
-						buf[en.SetIdx] += av * pv
-						any = true
-					}
-				}
-			}
-		}
-		return any
-	}
-	agg := sc.agg[:ctx.ncP]
-	for i := range agg {
-		agg[i] = 0
-	}
-	table.AccumulateRowsInto(pas, adj, agg)
-	for _, en := range entries {
-		if s := agg[en.RestIdx]; s != 0 {
-			buf[en.SetIdx] += av * s
-			any = true
-		}
-	}
-	return any
-}
-
-// passPassiveSingle handles pN == 1, h > 2: the passive child is a single
-// vertex, so for neighbor u only color sets containing color(u)
-// contribute, with the active part C \ {color(u)}. The aggregated variant
-// folds all neighbors into k per-color sums and walks the singleton
-// entries once per color instead of once per neighbor.
-func (st *iterState) passPassiveSingle(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) bool {
-	act, pas := ctx.act, ctx.pas
-	arow := materializeRow(act, v, sc.actRow, ctx.ncA)
-	any := false
-	if !aggregate {
-		for _, u := range adj {
-			pv := pas.Get(u, int32(st.colors[u]))
-			if pv == 0 {
-				continue
-			}
-			for _, en := range ctx.singles[int(st.colors[u])] {
-				if av := arow[en.RestIdx]; av != 0 {
-					buf[en.SetIdx] += av * pv
-					any = true
-				}
-			}
-		}
-		return any
-	}
-	colorAgg := sc.colorAgg
-	for i := range colorAgg {
-		colorAgg[i] = 0
-	}
-	table.GatherColorsInto(pas, adj, st.colors, colorAgg)
-	for c, s := range colorAgg {
-		if s == 0 {
-			continue
-		}
-		for _, en := range ctx.singles[c] {
-			if av := arow[en.RestIdx]; av != 0 {
-				buf[en.SetIdx] += av * s
-				any = true
-			}
-		}
-	}
-	return any
-}
-
-// passGeneralDirect is Algorithm 2 lines 9-12 as in the seed: for every
-// neighbor u and every color set C, sum products over all (Ca, Cp)
-// splits.
-func (st *iterState) passGeneralDirect(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch) bool {
-	act, pas := ctx.act, ctx.pas
-	arow := materializeRow(act, v, sc.actRow, ctx.ncA)
-	split, spn, nc := ctx.split, ctx.spn, ctx.nc
-	any := false
-	for _, u := range adj {
-		prow := pas.Row(u)
-		if prow == nil {
-			if !pas.Has(u) {
-				continue
-			}
-			prow = materializeRow(pas, u, sc.pasRow, ctx.ncP)
-		}
-		for ci := 0; ci < nc; ci++ {
-			base := ci * spn
-			var s float64
-			for j := base; j < base+spn; j++ {
-				if av := arow[split.ActiveIdx[j]]; av != 0 {
-					s += av * prow[split.PassiveIdx[j]]
-				}
-			}
-			if s != 0 {
-				buf[ci] += s
-				any = true
-			}
-		}
-	}
-	return any
-}
-
-// passGeneralAggregate is the SpMM-style restructure of the general
-// split: one neighbor-aggregation sweep building agg[Cp] on sequential
-// memory, then a single split contraction against the active row.
-func (st *iterState) passGeneralAggregate(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch) bool {
-	act, pas := ctx.act, ctx.pas
-	agg := sc.agg[:ctx.ncP]
-	for i := range agg {
-		agg[i] = 0
-	}
-	table.AccumulateRowsInto(pas, adj, agg)
-	arow := materializeRow(act, v, sc.actRow, ctx.ncA)
-	split, spn, nc := ctx.split, ctx.spn, ctx.nc
-	any := false
-	for ci := 0; ci < nc; ci++ {
-		base := ci * spn
-		var s float64
-		for j := base; j < base+spn; j++ {
-			if av := arow[split.ActiveIdx[j]]; av != 0 {
-				s += av * agg[split.PassiveIdx[j]]
-			}
-		}
-		if s != 0 {
-			buf[ci] += s
-			any = true
-		}
-	}
-	return any
 }

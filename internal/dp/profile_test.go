@@ -31,7 +31,7 @@ func TestComputeShareEdgeCases(t *testing.T) {
 }
 
 // TestProfileMatchesBatchedRun checks that ProfileIteration's estimate —
-// computed by the scalar path — equals the corresponding lane of a
+// computed by a one-lane traversal — equals the corresponding lane of a
 // batched run, tying the profiling hook into the bit-identity contract.
 func TestProfileMatchesBatchedRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))

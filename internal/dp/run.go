@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -14,9 +13,9 @@ type Result struct {
 	// Estimate is the mean over iterations of the scaled colorful count:
 	// the approximate number of non-induced occurrences of the template.
 	Estimate float64
-	// PerIteration holds each iteration's individual estimate. For a
-	// cancelled run it holds only the iterations that completed, in seed
-	// order.
+	// PerIteration holds each iteration's individual estimate, in seed
+	// order. For a cancelled run it holds the longest contiguous prefix
+	// of completed iterations (see RunStats.DroppedIterations).
 	PerIteration []float64
 	// StdErr is the standard error of the mean across iterations (0 for
 	// a single iteration).
@@ -44,158 +43,93 @@ func (e *Engine) Run(iters int) (Result, error) {
 // at iteration boundaries and inside every DP pass at vertex granularity,
 // so all three parallel modes abort promptly (typically well under a
 // millisecond of DP work after cancellation). On cancellation it returns
-// the partial result — the mean over the iterations that completed, with
-// Stats.Cancelled set — alongside ctx.Err().
+// the partial result alongside ctx.Err(): the longest contiguous prefix
+// of completed iterations (so PerIteration[i] still colored with
+// Seed+i), with Stats.Cancelled set and Stats.DroppedIterations counting
+// the completed iterations past the first gap.
 func (e *Engine) RunContext(ctx context.Context, iters int) (Result, error) {
 	if iters < 1 {
 		return Result{}, fmt.Errorf("dp: iterations must be >= 1, got %d", iters)
 	}
-	start := time.Now()
+	m := e.mark()
 	mode := e.mode()
 	stop, release := watchContext(ctx)
 	defer release()
-	kd0, ka0 := e.KernelStats()
-	ah0, am0 := e.arena.Stats()
-
-	estimates := make([]float64, iters)
-	iterTimes := make([]time.Duration, iters)
-	completed := make([]bool, iters)
 	stats := e.newRunStats()
 	stats.BatchSize = e.batch
 	res := Result{ModeUsed: mode}
 
-	// runIter executes one full iteration and returns its state; the
-	// caller folds the result in under its own synchronization.
-	runIter := func(i, innerW int) (*iterState, time.Duration) {
-		st := e.newIterState(rand.New(rand.NewSource(e.cfg.Seed+int64(i))), innerW)
-		st.stop = stop
-		if e.tree != nil {
-			st.nodeTimes = make([]time.Duration, len(e.tree.Order))
-		}
-		t0 := time.Now()
-		st.total = st.run()
-		return st, time.Since(t0)
-	}
-
-	switch {
-	case e.batch > 1:
-		// Batched execution: one DP traversal per lane batch; seeds and
-		// per-iteration estimates are identical to the unbatched schedule.
-		e.runBatches(ctx, mode, iters, stop, start, estimates, iterTimes, completed, &stats, &res)
-	case mode == Outer || mode == Hybrid:
-		// Whole iterations run concurrently, each with private tables
-		// (memory grows with concurrent iterations, as the paper notes).
-		// Hybrid additionally gives each concurrent iteration a share of
-		// inner-loop workers - the combination the paper leaves as
-		// future work.
-		workers := e.workers()
-		if workers > iters {
-			workers = iters
-		}
-		innerWs := make([]int, workers)
-		for w := range innerWs {
-			innerWs[w] = 1
-		}
-		if mode == Hybrid {
-			workers, innerWs = hybridSplit(e.workers(), iters)
-		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		next := make(chan int, iters)
-		for i := 0; i < iters; i++ {
-			next <- i
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := range next {
-					if stopRequested(ctx, stop) {
-						continue // drain remaining iteration slots
-					}
-					st, d := runIter(i, innerWs[w])
-					mu.Lock()
-					stats.mergeIter(st)
-					if st.peakBytes > res.PeakTableBytes {
-						res.PeakTableBytes = st.peakBytes
-					}
-					if !st.aborted {
-						estimates[i] = e.scale(st.total)
-						iterTimes[i] = d
-						completed[i] = true
-						if e.cfg.OnIteration != nil {
-							e.cfg.OnIteration(i, estimates[i], time.Since(start))
-						}
-					}
-					mu.Unlock()
-				}
-			}(w)
-		}
-		wg.Wait()
-	default: // Inner
-		for i := 0; i < iters; i++ {
-			if stopRequested(ctx, stop) {
-				break
-			}
-			st, d := runIter(i, e.workers())
-			stats.mergeIter(st)
-			if st.peakBytes > res.PeakTableBytes {
-				res.PeakTableBytes = st.peakBytes
-			}
-			if st.aborted {
-				break
-			}
-			estimates[i] = e.scale(st.total)
-			iterTimes[i] = d
-			completed[i] = true
-			if e.cfg.OnIteration != nil {
-				e.cfg.OnIteration(i, estimates[i], time.Since(start))
-			}
-		}
-	}
-
-	// Compact to completed iterations (all of them when not cancelled).
-	for i := 0; i < iters; i++ {
-		if completed[i] {
-			res.PerIteration = append(res.PerIteration, estimates[i])
-			stats.IterTimes = append(stats.IterTimes, iterTimes[i])
-		}
-	}
-	n := len(res.PerIteration)
+	slots := e.runBatches(ctx, mode, iters, stop, m.start, &stats, &res)
+	n, dropped := slots.prefix()
+	res.PerIteration = slots.estimates[:n]
+	stats.IterTimes = slots.iterTimes[:n]
 	stats.Iterations = n
-	if n > 0 {
-		var sum float64
-		for _, x := range res.PerIteration {
-			sum += x
-		}
-		res.Estimate = sum / float64(n)
-	}
-	if n > 1 {
-		var ss float64
-		for _, x := range res.PerIteration {
-			d := x - res.Estimate
-			ss += d * d
-		}
-		res.StdErr = math.Sqrt(ss / float64(n-1) / float64(n))
-	}
-	kd1, ka1 := e.KernelStats()
-	stats.KernelDirect = kd1 - kd0
-	stats.KernelAggregate = ka1 - ka0
-	ah1, am1 := e.arena.Stats()
-	stats.ArenaHits, stats.ArenaMisses = ah1-ah0, am1-am0
+	stats.DroppedIterations = dropped
+	res.Estimate, res.StdErr = summarize(res.PerIteration)
+	return e.finish(ctx, m, res, stats)
+}
+
+// runMark snapshots the engine-lifetime counters at run start, so a run
+// can report its own deltas.
+type runMark struct {
+	start  time.Time
+	kd, ka int64 // kernel passes: direct, aggregated
+	ah, am int64 // arena slabs: hits, misses
+}
+
+func (e *Engine) mark() runMark {
+	m := runMark{start: time.Now()}
+	m.kd, m.ka = e.KernelStats()
+	m.ah, m.am = e.ArenaStats()
+	return m
+}
+
+// finish fills the run-level stats (counter deltas since m, spill and
+// RSS snapshots, elapsed time) and attaches them to res, returning
+// ctx.Err() for a cancelled run.
+func (e *Engine) finish(ctx context.Context, m runMark, res Result, stats RunStats) (Result, error) {
+	kd, ka := e.KernelStats()
+	stats.KernelDirect, stats.KernelAggregate = kd-m.kd, ka-m.ka
+	ah, am := e.ArenaStats()
+	stats.ArenaHits, stats.ArenaMisses = ah-m.ah, am-m.am
 	stats.PeakTableBytes = res.PeakTableBytes
-	spillSlabs, spillBytes := e.arena.SpillStats()
+	spillSlabs, spillBytes := e.spillStats()
 	stats.SpillSlabs, stats.SpillMappedBytes = int64(spillSlabs), spillBytes
 	stats.sampleRSS()
-	res.Elapsed = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		stats.Cancelled = true
-		res.Stats = stats
-		return res, err
-	}
+	res.Elapsed = time.Since(m.start)
+	err := ctx.Err()
+	stats.Cancelled = err != nil
 	res.Stats = stats
-	return res, nil
+	return res, err
+}
+
+// summarize returns the mean and the standard error of the mean of the
+// concatenated estimate streams, summed in stream order (two-pass, so
+// every caller reports bit-identical figures for the same stream).
+func summarize(parts ...[]float64) (mean, stdErr float64) {
+	n := 0
+	var sum float64
+	for _, xs := range parts {
+		n += len(xs)
+		for _, x := range xs {
+			sum += x
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	mean = sum / float64(n)
+	if n == 1 {
+		return mean, 0
+	}
+	var ss float64
+	for _, xs := range parts {
+		for _, x := range xs {
+			d := x - mean
+			ss += d * d
+		}
+	}
+	return mean, math.Sqrt(ss / float64(n-1) / float64(n))
 }
 
 // hybridSplit divides a worker budget between concurrent iterations
@@ -244,8 +178,9 @@ func (e *Engine) scale(total float64) float64 {
 // correctness tests use to compare against brute-force colorful
 // enumeration under a deterministic coloring.
 func (e *Engine) ColorfulTotal(seed int64) float64 {
-	st := e.newIterState(rand.New(rand.NewSource(seed)), e.workers())
-	return st.run()
+	st := e.newBatchState(0, seed, 1, e.workers())
+	st.run()
+	return st.totals[0]
 }
 
 // ColoringFor reproduces the vertex coloring used by iteration seed, for
@@ -272,13 +207,20 @@ func (e *Engine) Reseed(seed int64) { e.cfg.Seed = seed }
 // storage (and the kept color vector) to the engine arena before a
 // re-run replaces them.
 func (e *Engine) ReleaseKept() {
+	e.keptMu.Lock()
+	defer e.keptMu.Unlock()
+	e.releaseKeptLocked()
+}
+
+func (e *Engine) releaseKeptLocked() {
 	//lint:maporder ok — release-only loop: table teardown order cannot affect any estimate
 	for _, tab := range e.kept {
 		tab.Release()
 	}
 	e.kept = nil
-	e.arena.PutI8(e.keptColors)
+	e.keptArena.PutI8(e.keptColors)
 	e.keptColors = nil
+	e.keptArena = nil
 }
 
 // VertexCounts estimates, for every graph vertex v, the number of
@@ -314,14 +256,15 @@ func (e *Engine) VertexCountsContext(ctx context.Context, iters int) ([]float64,
 		if stopRequested(ctx, stop) {
 			break
 		}
-		st := e.newIterState(rand.New(rand.NewSource(e.cfg.Seed+int64(i))), e.workers())
+		st := e.newBatchState(0, e.cfg.Seed+int64(i), 1, e.workers())
 		st.stop = stop
-		st.keep = true // retain the root table for reading
+		st.keep = false
+		st.keepRoot = true // retain the root table for reading
 		st.run()
 		if st.aborted {
 			break
 		}
-		root := st.tabs[e.tree.Root]
+		root := st.tabs[e.tree.Root].Table() // one lane: the plain table
 		// Aborting inside this fold would leave acc holding a partial
 		// iteration that the done-count rescale below cannot see, so the
 		// read-only O(n) walk runs to completion; cancellation is polled
@@ -335,13 +278,7 @@ func (e *Engine) VertexCountsContext(ctx context.Context, iters int) ([]float64,
 				acc[e.origID(v)] += root.SumRow(v) * scale
 			}
 		}
-		//lint:maporder ok — release-only loop: table teardown order cannot affect any estimate
-		for _, tab := range st.tabs {
-			tab.Release()
-		}
-		e.kept = nil
-		e.arena.PutI8(e.keptColors)
-		e.keptColors = nil
+		st.release()
 		done++
 	}
 	if err := ctx.Err(); err != nil {
@@ -396,18 +333,16 @@ func (e *Engine) RunConvergedPriorContext(ctx context.Context, relStdErr float64
 	if maxIters < minIters {
 		return Result{}, fmt.Errorf("dp: maxIters %d < minIters %d", maxIters, minIters)
 	}
-	start := time.Now()
+	m := e.mark()
 	stop, release := watchContext(ctx)
 	defer release()
-	kd0, ka0 := e.KernelStats()
 	workers := 1
 	if e.mode() == Inner {
 		workers = e.workers()
 	}
-	ah0, am0 := e.arena.Stats()
 	stats := e.newRunStats()
-	// Convergence checks are per iteration, so adaptive runs stay
-	// unbatched regardless of Config.Batch.
+	// Convergence checks are per iteration, so adaptive runs use one
+	// lane regardless of Config.Batch.
 	stats.BatchSize = 1
 	res := Result{ModeUsed: e.mode()}
 	var mean, m2 float64
@@ -428,15 +363,16 @@ func (e *Engine) RunConvergedPriorContext(ctx context.Context, relStdErr float64
 		if stopRequested(ctx, stop) {
 			break
 		}
-		st := e.newIterState(rand.New(rand.NewSource(e.cfg.Seed+int64(i))), workers)
+		st := e.newBatchState(0, e.cfg.Seed+int64(i), 1, workers)
 		st.stop = stop
 		if e.tree != nil {
 			st.nodeTimes = make([]time.Duration, len(e.tree.Order))
 		}
 		t0 := time.Now()
-		total := st.run()
+		st.run()
+		total := st.totals[0]
 		d := time.Since(t0)
-		stats.mergeIter(st)
+		stats.mergeBatch(st)
 		if st.peakBytes > res.PeakTableBytes {
 			res.PeakTableBytes = st.peakBytes
 		}
@@ -452,7 +388,7 @@ func (e *Engine) RunConvergedPriorContext(ctx context.Context, relStdErr float64
 		mean += delta / n
 		m2 += delta * (est - mean)
 		if e.cfg.OnIteration != nil {
-			e.cfg.OnIteration(i, est, time.Since(start))
+			e.cfg.OnIteration(i, est, time.Since(m.start))
 		}
 	}
 	// The Welford accumulator above decides WHEN to stop (mirroring
@@ -461,44 +397,7 @@ func (e *Engine) RunConvergedPriorContext(ctx context.Context, relStdErr float64
 	// formula over prior+fresh: the two disagree in the last ulp, and an
 	// adaptive run's Estimate/StdErr must be bit-identical to a fixed
 	// run of the same length (the cache serves them interchangeably).
-	if n := len(prior) + len(res.PerIteration); n > 0 {
-		var sum float64
-		for _, x := range prior {
-			sum += x
-		}
-		for _, x := range res.PerIteration {
-			sum += x
-		}
-		res.Estimate = sum / float64(n)
-		if n > 1 {
-			var ss float64
-			for _, x := range prior {
-				d := x - res.Estimate
-				ss += d * d
-			}
-			for _, x := range res.PerIteration {
-				d := x - res.Estimate
-				ss += d * d
-			}
-			res.StdErr = math.Sqrt(ss / float64(n-1) / float64(n))
-		}
-	}
+	res.Estimate, res.StdErr = summarize(prior, res.PerIteration)
 	stats.Iterations = len(res.PerIteration)
-	kd1, ka1 := e.KernelStats()
-	stats.KernelDirect = kd1 - kd0
-	stats.KernelAggregate = ka1 - ka0
-	ah1, am1 := e.arena.Stats()
-	stats.ArenaHits, stats.ArenaMisses = ah1-ah0, am1-am0
-	stats.PeakTableBytes = res.PeakTableBytes
-	spillSlabs, spillBytes := e.arena.SpillStats()
-	stats.SpillSlabs, stats.SpillMappedBytes = int64(spillSlabs), spillBytes
-	stats.sampleRSS()
-	res.Elapsed = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		stats.Cancelled = true
-		res.Stats = stats
-		return res, err
-	}
-	res.Stats = stats
-	return res, nil
+	return e.finish(ctx, m, res, stats)
 }

@@ -122,3 +122,41 @@ func TestSampleAfterEveryTableKind(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleAfterConcurrentRun keeps tables under Outer parallelism,
+// where concurrent iterations finish and install their tables at once
+// (run it under -race): the engine must end up holding one complete
+// iteration whose samples are valid, colorful embeddings.
+func TestSampleAfterConcurrentRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	g := randomGraph(rng, 40, 160)
+	cfg := DefaultConfig()
+	cfg.KeepTables = true
+	cfg.Mode = Outer
+	cfg.Workers = 3
+	e, err := New(g, tmpl.Path(4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(6); err != nil {
+		t.Fatal(err)
+	}
+	embs, err := e.SampleEmbeddings(rng, 10)
+	if err != nil {
+		t.Fatalf("no embeddings after a 6-iteration run: %v", err)
+	}
+	for _, emb := range embs {
+		if err := e.VerifyEmbedding(emb); err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int8]bool{}
+		for _, v := range emb.Mapping {
+			if c := e.keptColors[v]; seen[c] {
+				t.Fatal("sampled embedding not colorful under the kept coloring")
+			} else {
+				seen[c] = true
+			}
+		}
+	}
+	e.ReleaseKept()
+}

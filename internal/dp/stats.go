@@ -57,28 +57,25 @@ type RunStats struct {
 	// PeakTableBytes mirrors Result.PeakTableBytes: the largest live
 	// table footprint of any single iteration.
 	PeakTableBytes int64
-	// BatchSize is the resolved lane count of the batched execution mode
-	// (1 = classic unbatched scheduling).
+	// BatchSize is the resolved lane count: the number of iterations
+	// each DP traversal carries (1 = one iteration per traversal).
 	BatchSize int
-	// BatchesRun counts lane batches that ran to completion —
-	// ceil(Iterations/BatchSize) for an uncancelled batched run, 0 when
-	// unbatched.
+	// BatchesRun counts multi-lane batches that ran to completion —
+	// ceil(Iterations/BatchSize) for an uncancelled run with
+	// BatchSize > 1, 0 at one lane.
 	BatchesRun int64
+	// DroppedIterations counts iterations of a cancelled run that
+	// completed out of seed order, past the first iteration that did
+	// not: they are discarded so the result stays a contiguous seed
+	// prefix (outer and hybrid parallelism finish iterations in any
+	// order). Always 0 for an uncancelled run.
+	DroppedIterations int
 	// ArenaHits and ArenaMisses count table-arena slab requests served
 	// from the engine's cross-iteration free lists vs fresh allocations
 	// during this run. After the first iteration warms the arena, steady
 	// state is all hits.
 	ArenaHits   int64
 	ArenaMisses int64
-	// TiledPasses counts internal-node passes that ran the column-tiled
-	// execution path (passive table over the LLC budget), and TileSweeps
-	// the total tiles swept across them — TileSweeps/TiledPasses is the
-	// mean tiling factor.
-	TiledPasses int64
-	TileSweeps  int64
-	// LLCBudgetBytes is the resolved cache budget the tiling decisions
-	// used (0 = tiling disabled).
-	LLCBudgetBytes int64
 	// MemBudgetBytes is the resolved peak-memory budget the spill and
 	// batch-sizing decisions used (0 = unlimited, spilling off).
 	MemBudgetBytes int64
@@ -121,7 +118,6 @@ func (s RunStats) NodeTimeTotal() time.Duration {
 func (e *Engine) newRunStats() RunStats {
 	st := RunStats{
 		Layout:         e.cfg.TableKind.String(),
-		LLCBudgetBytes: e.llcBytes,
 		MemBudgetBytes: e.memBytes,
 		ReorderApplied: e.ord != nil,
 	}
@@ -134,21 +130,6 @@ func (e *Engine) newRunStats() RunStats {
 	return st
 }
 
-// mergeIter folds one iteration's iterState accounting into the stats.
-// Callers serialize access (outer/hybrid modes hold the result mutex).
-func (s *RunStats) mergeIter(st *iterState) {
-	for i, d := range st.nodeTimes {
-		s.Nodes[i].Time += d
-	}
-	s.RowsAllocated += st.rowsAllocated
-	s.RowsReleased += st.rowsReleased
-	s.TablesAllocated += st.tablesAllocated
-	s.TablesReleased += st.tablesReleased
-	s.TiledPasses += st.tiledPasses
-	s.TileSweeps += st.tileSweeps
-	s.sampleRSS()
-}
-
 // sampleRSS folds the current process resident-set size into the peak.
 // Called at iteration/batch boundaries under the caller's run lock.
 func (s *RunStats) sampleRSS() {
@@ -158,7 +139,8 @@ func (s *RunStats) sampleRSS() {
 }
 
 // mergeBatch folds one lane batch's batchState accounting into the
-// stats. Callers serialize access exactly like mergeIter.
+// stats. Callers serialize access (outer/hybrid modes hold the result
+// mutex).
 func (s *RunStats) mergeBatch(st *batchState) {
 	for i, d := range st.nodeTimes {
 		s.Nodes[i].Time += d
@@ -167,8 +149,6 @@ func (s *RunStats) mergeBatch(st *batchState) {
 	s.RowsReleased += st.rowsReleased
 	s.TablesAllocated += st.tablesAllocated
 	s.TablesReleased += st.tablesReleased
-	s.TiledPasses += st.tiledPasses
-	s.TileSweeps += st.tileSweeps
 	s.sampleRSS()
 }
 

@@ -586,16 +586,11 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	// shard tier's contribution was computed now; restore the true split
 	// so CachedIterations stays what the cache actually served.
 	merged.Stats.CachedIterations = cached
-	if !req.NoCache && (runErr == nil || localMerged || len(res.PerIteration) == 0) {
-		// Complete runs always extend the cache, and so does a query cut
-		// short before any local iterations finished — the shard tier
-		// only ever returns a contiguous prefix of the seed stream. A
-		// cancelled fixed local run with completed iterations cannot:
-		// its completed set may be a non-contiguous subset of the seed
-		// range under outer parallelism, and cache entries must be exact
-		// prefixes. Adaptive residual runs are exempt from that rule —
-		// they execute strictly sequentially, so even a cancelled one
-		// leaves an exact prefix.
+	if !req.NoCache {
+		// Every tier returns a contiguous prefix of the seed stream, even
+		// when cancelled — the shard tier, adaptive runs, and fixed local
+		// runs under any parallel mode alike — so complete and partial
+		// results extend the cache under the same rule.
 		s.cache.Extend(key, merged.PerIteration)
 	}
 	s.respondCount(w, req, key, merged, kind, runErr, start, sh)

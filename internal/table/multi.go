@@ -1,7 +1,7 @@
 package table
 
-// Multi is the lane-strided multi-coloring table behind the dp package's
-// batched execution mode: one underlying Table stores the cells of L
+// Multi is the lane-strided multi-coloring table the dp package's
+// kernels read and write: one underlying Table stores the cells of L
 // concurrent color-coding iterations ("lanes"), with the logical cell
 // (v, ci, lane) living at flat column ci·L + lane of a width NumSets·L
 // row. Lane blocks are contiguous, so the batched kernels' innermost
@@ -12,7 +12,7 @@ package table
 // lane stores a nonzero there. Absent lanes of a present row read as the
 // zeros they are, so per-lane results are unaffected — counts are
 // integer-valued float64s and every summation order is exact (up to
-// 2^53), which is what makes batched and unbatched runs bit-identical.
+// 2^53), which is what makes every lane count bit-identical.
 type Multi struct {
 	tab     Table
 	numSets int
@@ -37,6 +37,11 @@ func (m *Multi) NumSets() int { return m.numSets }
 
 // Lanes returns the number of concurrent colorings stored.
 func (m *Multi) Lanes() int { return m.lanes }
+
+// Table returns the underlying flat table. At one lane it is exactly
+// the plain per-(vertex, color set) table, which is how one-lane runs
+// hand their tables to embedding sampling and rooted counts.
+func (m *Multi) Table() Table { return m.tab }
 
 // Width returns the flat row width NumSets·Lanes.
 func (m *Multi) Width() int { return m.numSets * m.lanes }
@@ -94,14 +99,6 @@ func (m *Multi) AccumulateRows(vs []int32, dst []float64) {
 	AccumulateRowsInto(m.tab, vs, dst)
 }
 
-// AccumulateRowsRange is the tiled form of AccumulateRows: it folds only
-// the per-lane column range [lo, hi) — flat columns [lo·L, hi·L) — of
-// each vertex's lane row into the aligned subrange of dst. Lane blocks
-// are contiguous, so a per-lane column tile is one flat slice per row.
-func (m *Multi) AccumulateRowsRange(vs []int32, dst []float64, lo, hi int) {
-	AccumulateRowsRangeInto(m.tab, vs, dst, lo*m.lanes, hi*m.lanes)
-}
-
 // GatherColors folds, for each vertex u in vs and each lane j, the cell
 // (u, colors[u·L+j], j) into dst[colors[u·L+j]·L+j]; colors is the
 // lane-strided per-vertex coloring and dst has length k·L. It is the
@@ -129,48 +126,6 @@ func (m *Multi) GatherColors(vs []int32, colors []int8, dst []float64) {
 			for j := 0; j < L; j++ {
 				ci := int32(colors[base+j])
 				dst[int(ci)*L+j] += m.Get(u, ci, j)
-			}
-		}
-	}
-}
-
-// GatherColorsRange is the tiled form of GatherColors: lanes whose
-// color for u falls outside the per-lane column range [lo, hi) are
-// skipped, so a tile sweep over the passive columns visits each (u,
-// lane) cell exactly once across tiles.
-func (m *Multi) GatherColorsRange(vs []int32, colors []int8, dst []float64, lo, hi int) {
-	L := m.lanes
-	sc, isSuccinct := m.tab.(*SuccinctTable)
-	for _, u := range vs {
-		if row := m.tab.Row(u); row != nil {
-			base := int(u) * L
-			for j := 0; j < L; j++ {
-				c := int(colors[base+j])
-				if c < lo || c >= hi {
-					continue
-				}
-				o := c*L + j
-				dst[o] += row[o]
-			}
-		} else if isSuccinct { // succinct: one decode visits every lane
-			base := int(u) * L
-			sc.ForEachInRow(u, func(ci int32, val float64) {
-				c := int(ci) / L
-				if c < lo || c >= hi {
-					return
-				}
-				if int(colors[base+int(ci)%L]) == c {
-					dst[ci] += val
-				}
-			})
-		} else if m.tab.Has(u) { // hash layout: probe per lane
-			base := int(u) * L
-			for j := 0; j < L; j++ {
-				c := int(colors[base+j])
-				if c < lo || c >= hi {
-					continue
-				}
-				dst[c*L+j] += m.Get(u, int32(c), j)
 			}
 		}
 	}

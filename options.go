@@ -223,19 +223,11 @@ type Options struct {
 	// Batch selects the iteration-batched execution mode: B > 1 runs B
 	// independent colorings ("lanes") through one DP traversal per
 	// batch, amortizing the graph walk and split enumeration across
-	// lanes. 0 or 1 keeps the classic one-traversal-per-iteration
-	// schedule; BatchAuto picks a width from the template size and a
-	// memory budget. Results are bit-identical to unbatched runs (lane
-	// seeds match iteration seeds); only speed and peak memory (×B per
-	// concurrent traversal) change.
+	// lanes. 0 or 1 runs one traversal per iteration; BatchAuto picks
+	// a width from the template size and a memory budget. Results are
+	// bit-identical at every width (lane seeds match iteration seeds);
+	// only speed and peak memory (×B per concurrent traversal) change.
 	Batch int
-	// LLCBytes is the cache budget (in bytes) the engine's column-tiling
-	// heuristics target: DP passes whose passive-table working set
-	// exceeds it are swept tile-by-tile so gathered rows stay
-	// cache-resident. 0 consults the FASCIA_LLC_BYTES environment
-	// variable and falls back to 64 MiB; negative disables tiling.
-	// Execution-only: estimates are bit-identical at any setting.
-	LLCBytes int64
 	// MemBudgetBytes bounds the engine's peak table memory: large table
 	// slabs spill to unlinked file-backed mappings the OS can page out,
 	// and the automatic batch sizer caps its lane budget, so peak RSS
@@ -255,12 +247,12 @@ type Options struct {
 	// the run returns its partial result alongside the context error,
 	// exactly as caller-driven cancellation does.
 	Timeout time.Duration
-	// OnIteration, when non-nil, is invoked after each completed
-	// iteration with the iteration's index, its individual estimate, and
-	// the elapsed wall time since the run started. Calls are serialized,
-	// but under outer/hybrid parallelism iterations complete out of
-	// order, so i is not monotone. The hook runs on the engine's
-	// goroutines: keep it fast.
+	// OnIteration, when non-nil, is invoked once for each iteration the
+	// result holds, with the iteration's index, its individual estimate,
+	// and the elapsed wall time since the run started. Calls are
+	// serialized and i is monotone: under outer/hybrid parallelism an
+	// iteration that completes early is reported once every earlier one
+	// has. The hook runs on the engine's goroutines: keep it fast.
 	OnIteration func(i int, estimate float64, elapsed time.Duration)
 }
 
@@ -332,10 +324,12 @@ func (o Options) WithBatch(b int) Options {
 	return o
 }
 
-// WithLLCBytes returns a copy of o with the given tiling cache budget
-// (see Options.LLCBytes).
-func (o Options) WithLLCBytes(b int64) Options {
-	o.LLCBytes = b
+// WithLLCBytes returns o unchanged. It used to set the cache budget of
+// the engine's column tiling, which was removed after measuring slower
+// than untiled passes at every budget.
+//
+// Deprecated: tiling is gone and the budget has no effect.
+func (o Options) WithLLCBytes(int64) Options {
 	return o
 }
 
@@ -381,7 +375,7 @@ func (o Options) WithOnIteration(fn func(i int, estimate float64, elapsed time.D
 // so a cached adaptive entry records the iterations actually run
 // rather than masquerading as a fixed-length stream). Execution knobs
 // that are property-tested bit-identical — Table, Kernel, Batch,
-// Parallel, Threads, DisableLeafSpecial, LLCBytes, MemBudgetBytes —
+// Parallel, Threads, DisableLeafSpecial, MemBudgetBytes —
 // and lifecycle knobs (Iterations, Seed, Timeout, KeepTables,
 // OnIteration, Epsilon/Delta) are deliberately excluded so they do not
 // fragment a cache. The leading version tag must be bumped if estimate
@@ -408,7 +402,7 @@ var (
 	// settings by the kernel-equivalence and oracle-differential property
 	// tests; excluding them keeps equivalent queries on one cache entry.
 	fingerprintExecutionOnly = []string{
-		"Table", "Kernel", "Batch", "Parallel", "Threads", "DisableLeafSpecial", "LLCBytes", "MemBudgetBytes",
+		"Table", "Kernel", "Batch", "Parallel", "Threads", "DisableLeafSpecial", "MemBudgetBytes",
 	}
 	// fingerprintLifecycle shape how many iterations run, which seed
 	// starts the stream, or what happens around the run — the cache keys
@@ -465,7 +459,6 @@ func (o Options) config() (dp.Config, error) {
 		Kernel:             kern,
 		KeepTables:         o.KeepTables,
 		Batch:              o.Batch,
-		LLCBytes:           o.LLCBytes,
 		MemBudgetBytes:     o.MemBudgetBytes,
 		OnIteration:        o.OnIteration,
 	}, nil
